@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet race fuzz bench bench-compare trace-smoke service-smoke plan-smoke workload-smoke figures clean
+.PHONY: all build test check vet race fuzz bench bench-compare trace-smoke service-smoke plan-smoke workload-smoke perfbench-test figures clean
 
 all: build test
 
@@ -103,16 +103,21 @@ plan-smoke:
 workload-smoke:
 	$(GO) test -race -run TestWorkloadSmoke -count=1 .
 
+# The end-to-end benchmark (perfbench/, its own module importing this one
+# through a replace directive) in short mode: its digest pins and checks run
+# against this checkout's facade, so a facade change that breaks the
+# benchmark fails here first.
+perfbench-test:
+	cd perfbench && $(GO) test -short ./...
+
 # Short fuzzing passes over the text-format parsers, the workload-spec
-# grammar, the scheduling-pass cache, the sparse/dense bitmat parity, and
-# the Clos spine router.
+# grammar, the sparse/dense bitmat parity, the Clos spine router and the
+# BvN decomposer.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/traffic/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzPlan -fuzztime=30s ./internal/fault/
-	$(GO) test -run=NONE -fuzz=FuzzSchedCache -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzSparseParity -fuzztime=30s ./internal/bitmat/
-	$(GO) test -run=NONE -fuzz=FuzzWarmStartParity -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzClosRoute -fuzztime=30s ./internal/multistage/
 	$(GO) test -run=NONE -fuzz=FuzzDecompose -fuzztime=30s ./internal/multistage/
 

@@ -137,7 +137,7 @@ func main() {
 
 // runWorkloadStudies prints the ROADMAP item-4 workload-family studies: the
 // per-family regime sweep, the phased-program planner demonstration, and the
-// adversarial sched-cache study.
+// adversarial connection-cache study.
 func runWorkloadStudies(ex experiments.Exec, seed int64) {
 	n := experiments.N
 
@@ -157,7 +157,7 @@ func runWorkloadStudies(ex experiments.Exec, seed int64) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println(experiments.AdversaryTable(n, adv))
+	fmt.Println(experiments.AdversaryTable(adv))
 }
 
 // Ablation workloads are built through the generator registry (the same

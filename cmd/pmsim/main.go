@@ -21,10 +21,7 @@
 // Fabrics (TDM modes): crossbar, omega, clos, benes (`pmsim -fabric list`).
 // Planners (tdm-preload/tdm-hybrid): static, solstice, bvn
 // (`pmsim -planner list`) pick the offline preload planner.
-// Schedulers (TDM modes): paper, islip, wavefront (`pmsim -sched list`);
-// -shards enables per-leaf sharded scheduling on leafed fabrics and -warm
-// enables warm-started incremental scheduling (paper scheduler only) —
-// both change wall-clock cost only, never the printed metrics.
+// Schedulers (TDM modes): paper, islip, wavefront (`pmsim -sched list`).
 //
 // Multi-run mode (-seeds N) repeats the pattern at seeds seed..seed+N-1 and
 // prints one summary line per seed plus the aggregate. -parallel bounds how
@@ -68,8 +65,6 @@ func main() {
 		fabName  = flag.String("fabric", "crossbar", "TDM fabric backend: crossbar|omega|clos|benes ('list' prints the vocabulary)")
 		schedNm  = flag.String("sched", "paper", "TDM scheduling algorithm: paper|islip|wavefront ('list' prints the vocabulary)")
 		planNm   = flag.String("planner", "static", "preload planner (tdm-preload/tdm-hybrid): static|solstice|bvn ('list' prints the vocabulary)")
-		shards   = flag.Int("shards", 0, "per-leaf scheduler shards on leafed fabrics (0 = off; results are identical, only wall-clock changes)")
-		warm     = flag.Bool("warm", false, "warm-start incremental scheduling (paper scheduler only; results are identical, only wall-clock changes)")
 		hist     = flag.Bool("hist", false, "print the latency histogram")
 		faults   = flag.String("faults", "", "fault plan, e.g. 'seed=7,mtbf=1ms,mttr=10us,corrupt=0.001,link=3@50us+20us,xpoint=1:2@80us'")
 		seed     = flag.Int64("seed", 1, "workload random seed")
@@ -139,8 +134,6 @@ func main() {
 	if cfg.Planner, err = pmsnet.ParsePlanner(*planNm); err != nil {
 		fatal(err)
 	}
-	cfg.SchedShards = *shards
-	cfg.SchedWarmStart = *warm
 	cfg.Parallelism = *parallel
 	if *faults != "" {
 		plan, err := pmsnet.ParseFaults(*faults)
@@ -201,10 +194,6 @@ func main() {
 		fmt.Printf("scheduler:   %d passes, %d established, %d released, %d evicted, %d preloads\n",
 			s.Passes, s.Established, s.Released, s.Evictions, s.Preloads)
 		fmt.Printf("hit rate:    %.3f\n", rep.HitRate)
-		if s.WarmHits+s.WarmMisses > 0 {
-			fmt.Printf("warm start:  %d incremental, %d rebuilds, %d rows re-evaluated\n",
-				s.WarmHits, s.WarmMisses, s.DirtyRows)
-		}
 	}
 	if p := rep.Plan; p.Planner != "" {
 		fmt.Printf("planner:     %s — %d configs in %d groups, %d residual conns, drain estimate %d slots\n",

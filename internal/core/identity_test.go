@@ -7,15 +7,13 @@ import (
 	"testing/quick"
 
 	"pmsnet/internal/bitmat"
-	"pmsnet/internal/runner"
 )
 
-// Identity suites for the scale-out machinery of the scheduler: the sparse
-// request path and the per-leaf sharded pass are pure performance features,
-// so the pinned property is bit-identity — same PassResults, same final
-// state — against the dense unsharded scheduler, under every parameter the
-// two paths interact with (rotation, latching, SL copies, the memo cache,
-// and a fabric CanEstablish constraint).
+// Identity suite for the sparse request path: it is a pure performance
+// feature, so the pinned property is bit-identity — same PassResults, same
+// final state — against the dense scheduler, under every parameter the two
+// paths interact with (rotation, latching, SL copies and a fabric
+// CanEstablish constraint).
 
 // drivePair drives two schedulers through the same random request sequence,
 // feeding sched a dense matrix and check the same requests through feed, and
@@ -24,7 +22,6 @@ func drivePair(t errorfer, rng *rand.Rand, n, passes int, dense, other *Schedule
 	feed func(s *Scheduler, r *bitmat.Matrix, sp *bitmat.Sparse) PassResult) bool {
 	r := bitmat.NewSquare(n)
 	sp := bitmat.NewSparse(n, n)
-	sp.EnableJournal() // consumed by the warm feed; inert for the others
 	for pass := 0; pass < passes; pass++ {
 		// Random occupancy per pass, biased low to exercise the sparse
 		// fast path, with occasional dense bursts.
@@ -43,6 +40,17 @@ func drivePair(t errorfer, rng *rand.Rand, n, passes int, dense, other *Schedule
 			} else {
 				r.Set(u, v)
 				sp.Set(u, v)
+			}
+		}
+		// Now and then one source requests a run of destinations, so rows
+		// above the sparse path's word-row threshold occur at every N.
+		if rng.Intn(6) == 0 {
+			u, w := rng.Intn(n), 8+rng.Intn(n/2+1)
+			for v := rng.Intn(n); w > 0; v, w = (v+1)%n, w-1 {
+				if v != u {
+					r.Set(u, v)
+					sp.Set(u, v)
+				}
 			}
 		}
 		want := dense.Pass(r)
@@ -122,20 +130,14 @@ func schedStatesEqual(t errorfer, a, b *Scheduler) bool {
 			return false
 		}
 	}
-	// Warm counters are pure telemetry, documented to differ between warm-on
-	// and warm-off runs; everything else must match exactly.
-	as, bs := a.Stats(), b.Stats()
-	as.WarmHits, as.WarmMisses, as.DirtyRows = 0, 0, 0
-	bs.WarmHits, bs.WarmMisses, bs.DirtyRows = 0, 0, 0
-	if as != bs {
+	if as, bs := a.Stats(), b.Stats(); as != bs {
 		t.Errorf("stats diverged: %+v vs %+v", as, bs)
 		return false
 	}
 	return true
 }
 
-// evenDiagonal is a pure fabric constraint usable under Memoize: it only
-// reads (b, u, v).
+// evenDiagonal is a pure fabric constraint: it only reads (b, u, v).
 func evenDiagonal(b *bitmat.Matrix, u, v int) bool {
 	return (u+v)%4 != 1 || b.RowCount(u%b.Rows()) == 0
 }
@@ -148,7 +150,6 @@ func randomPairParams(rng *rand.Rand) (Params, int) {
 		RotatePriority: rng.Intn(2) == 0,
 		SkipEmptySlots: rng.Intn(2) == 0,
 		LatchRequests:  rng.Intn(3) == 0,
-		Memoize:        rng.Intn(2) == 0,
 	}
 	p.SLCopies = 1 + rng.Intn(p.K)
 	if rng.Intn(3) == 0 {
@@ -159,7 +160,7 @@ func randomPairParams(rng *rand.Rand) (Params, int) {
 
 // TestQuickSparseDenseParity pins the sparse request path to the dense one:
 // same pass results and same scheduler state at every step, across random
-// parameter combinations including the memo cache and a fabric constraint.
+// parameter combinations including latching and a fabric constraint.
 func TestQuickSparseDenseParity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -176,65 +177,34 @@ func TestQuickSparseDenseParity(t *testing.T) {
 	}
 }
 
-// randomBounds cuts [0, n) into 2..4 strictly ascending shard ranges.
-func randomBounds(rng *rand.Rand, n int) []int {
-	shards := 2 + rng.Intn(3)
-	if shards > n {
-		shards = n
-	}
-	bounds := []int{0}
-	for i := 1; i < shards; i++ {
-		next := bounds[len(bounds)-1] + 1 + rng.Intn(n-bounds[len(bounds)-1]-(shards-i))
-		bounds = append(bounds, next)
-	}
-	return append(bounds, n)
-}
-
-// TestQuickShardedUnshardedParity pins the sharded sparse pass — serial and
-// on a parallel worker pool — to the plain sparse pass.
-func TestQuickShardedUnshardedParity(t *testing.T) {
-	pool := runner.NewPool(3)
-	defer pool.Close()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p, n := randomPairParams(rng)
-		sharded := p
-		sharded.ShardBounds = randomBounds(rng, n)
-		if rng.Intn(2) == 0 {
-			sharded.ShardRun = pool.Run
+// TestSparseDenseParityParamMatrix pins the sparse path to the dense oracle
+// on every combination of the boolean parameters the two paths interact
+// with, at a port count above 576 — the size where wordRowThreshold grows
+// past its floor of 8 and rows carry ten words, which the random draws of
+// TestQuickSparseDenseParity (N < 24) never reach.
+func TestSparseDenseParityParamMatrix(t *testing.T) {
+	const n = 640
+	for combo := 0; combo < 16; combo++ {
+		p := Params{
+			N:              n,
+			K:              3,
+			SLCopies:       2,
+			RotatePriority: combo&1 != 0,
+			SkipEmptySlots: combo&2 != 0,
+			LatchRequests:  combo&4 != 0,
 		}
-		dense := MustScheduler(p)
-		shardedSched := MustScheduler(sharded)
-		return drivePair(t, rng, n, 25, dense, shardedSched,
-			func(s *Scheduler, _ *bitmat.Matrix, sp *bitmat.Sparse) PassResult {
-				return s.PassSparse(sp)
-			})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShardBoundsValidation(t *testing.T) {
-	bad := [][]int{
-		{0},           // too short
-		{1, 8},        // must start at 0
-		{0, 4},        // must end at N
-		{0, 4, 4, 8},  // not strictly ascending
-		{0, 8, 4, 16}, // descending in the middle
-	}
-	for _, b := range bad {
-		p := Params{N: 8, K: 2, ShardBounds: b}
-		if b[len(b)-1] == 16 {
-			p.N = 16
+		if combo&8 != 0 {
+			p.CanEstablish = evenDiagonal
 		}
-		if err := p.withDefaults().Validate(); err == nil {
-			t.Errorf("bounds %v: expected a validation error", b)
-		}
-	}
-	good := Params{N: 8, K: 2, ShardBounds: []int{0, 3, 8}}
-	if err := good.withDefaults().Validate(); err != nil {
-		t.Errorf("bounds %v rejected: %v", good.ShardBounds, err)
+		name := fmt.Sprintf("rotate=%t/skip=%t/latch=%t/constrained=%t",
+			p.RotatePriority, p.SkipEmptySlots, p.LatchRequests, p.CanEstablish != nil)
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(combo) + 1))
+			drivePair(t, rng, n, 12, MustScheduler(p), MustScheduler(p),
+				func(s *Scheduler, _ *bitmat.Matrix, sp *bitmat.Sparse) PassResult {
+					return s.PassSparse(sp)
+				})
+		})
 	}
 }
 
@@ -358,22 +328,6 @@ func TestAlgorithmStringAndParse(t *testing.T) {
 	p := Params{N: 4, K: 2, Algorithm: Algorithm(7)}
 	if err := p.withDefaults().Validate(); err == nil {
 		t.Error("unknown algorithm must fail validation")
-	}
-}
-
-// TestNonPaperAlgorithmsDisableMemoize pins the withDefaults guard: the
-// memo-cache key does not cover iSLIP's pointer state, so Memoize must be
-// forced off for the alternative algorithms.
-func TestNonPaperAlgorithmsDisableMemoize(t *testing.T) {
-	for _, alg := range []Algorithm{AlgISLIP, AlgWavefront} {
-		p := Params{N: 8, K: 2, Algorithm: alg, Memoize: true}.withDefaults()
-		if p.Memoize {
-			t.Errorf("%v: Memoize survived withDefaults", alg)
-		}
-	}
-	p := Params{N: 8, K: 2, Algorithm: AlgPaper, Memoize: true}.withDefaults()
-	if !p.Memoize {
-		t.Error("paper algorithm must keep Memoize")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"pmsnet/internal/bitmat"
-	"pmsnet/internal/runner"
 )
 
 func newTest(n, k int) *Scheduler {
@@ -399,6 +398,44 @@ func TestFlushSparesPinnedSlots(t *testing.T) {
 	}
 }
 
+// TestEvictPortAndAddBandwidthSparePinnedSlots: bandwidth amplification
+// only takes dynamic slots, and a port eviction clears the dynamic copies
+// of a connection while its pinned preload survives.
+func TestEvictPortAndAddBandwidthSparePinnedSlots(t *testing.T) {
+	const n, k = 8, 3
+	s := MustScheduler(Params{N: n, K: k, LatchRequests: true})
+	pre := bitmat.NewSquare(n)
+	pre.Set(1, 2)
+	if err := s.LoadConfig(0, pre, true); err != nil {
+		t.Fatal(err)
+	}
+	r := req(n, [2]int{1, 2}, [2]int{4, 5})
+	for i := 0; i < k; i++ {
+		s.Pass(r)
+	}
+	// 1->2 is realized by the pinned slot, so only amplification gives it
+	// a dynamic copy; 4->5 then takes the last dynamic slot.
+	if got := s.AddBandwidth(1, 2, 1); got != 1 {
+		t.Fatalf("AddBandwidth(1->2) added %d slots, want 1", got)
+	}
+	if got := s.AddBandwidth(4, 5, k); got != 1 {
+		t.Fatalf("AddBandwidth(4->5) added %d slots, want the 1 free dynamic slot", got)
+	}
+	if slots := s.SlotsOf(4, 5); len(slots) != 2 || slots[0] == 0 || slots[1] == 0 {
+		t.Fatalf("4->5 holds slots %v, want both dynamic slots", slots)
+	}
+	evicted := s.EvictPort(2)
+	if len(evicted) != 1 || evicted[0].Slot == 0 || evicted[0].Src != 1 {
+		t.Fatalf("EvictPort(2) = %+v, want only the dynamic copy of 1->2", evicted)
+	}
+	if slots := s.SlotsOf(1, 2); len(slots) != 1 || slots[0] != 0 {
+		t.Fatalf("1->2 holds slots %v after EvictPort, want only pinned slot 0", slots)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPassSkipsPinnedSlots(t *testing.T) {
 	const n = 4
 	s := MustScheduler(Params{N: n, K: 2})
@@ -666,7 +703,7 @@ func BenchmarkPass128Dense(b *testing.B) {
 	}
 }
 
-// --- large-N scaling benches (dense vs sparse vs sharded passes) ---
+// --- large-N scaling benches (dense vs sparse passes) ---
 
 // benchSparseRequests builds the scale-out benchmark pattern: one random
 // destination per source, so the request matrix carries N nonzeros out of
@@ -689,21 +726,10 @@ func benchSparseRequests(n int) (*bitmat.Matrix, *bitmat.Sparse) {
 // benchPassScale measures the steady-state pass over a sparse request set:
 // after a warm-up sweep establishes the working set, each iteration is one
 // full scheduling pass whose cost is pure scanning — the axis the sparse
-// representation attacks. Memoization is off so the scheduling array runs
-// on every iteration in both variants.
-func benchPassScale(b *testing.B, n int, sparse bool, shards int) {
+// representation attacks.
+func benchPassScale(b *testing.B, n int, sparse bool) {
 	b.Helper()
 	p := Params{N: n, K: 4, RotatePriority: true, SkipEmptySlots: true}
-	if shards > 1 {
-		bounds := make([]int, shards+1)
-		for i := 1; i <= shards; i++ {
-			bounds[i] = i * n / shards
-		}
-		p.ShardBounds = bounds
-		pool := runner.NewPool(shards)
-		defer pool.Close()
-		p.ShardRun = pool.Run
-	}
 	s := MustScheduler(p)
 	r, sp := benchSparseRequests(n)
 	for pass := 0; pass < p.K; pass++ {
@@ -724,14 +750,12 @@ func benchPassScale(b *testing.B, n int, sparse bool, shards int) {
 	}
 }
 
-func BenchmarkPass512Dense(b *testing.B)     { benchPassScale(b, 512, false, 0) }
-func BenchmarkPass512Sparse(b *testing.B)    { benchPassScale(b, 512, true, 0) }
-func BenchmarkPass1024Dense(b *testing.B)    { benchPassScale(b, 1024, false, 0) }
-func BenchmarkPass1024Sparse(b *testing.B)   { benchPassScale(b, 1024, true, 0) }
-func BenchmarkPass2048Dense(b *testing.B)    { benchPassScale(b, 2048, false, 0) }
-func BenchmarkPass2048Sparse(b *testing.B)   { benchPassScale(b, 2048, true, 0) }
-func BenchmarkPass1024Sharded8(b *testing.B) { benchPassScale(b, 1024, true, 8) }
-func BenchmarkPass2048Sharded8(b *testing.B) { benchPassScale(b, 2048, true, 8) }
+func BenchmarkPass512Dense(b *testing.B)   { benchPassScale(b, 512, false) }
+func BenchmarkPass512Sparse(b *testing.B)  { benchPassScale(b, 512, true) }
+func BenchmarkPass1024Dense(b *testing.B)  { benchPassScale(b, 1024, false) }
+func BenchmarkPass1024Sparse(b *testing.B) { benchPassScale(b, 1024, true) }
+func BenchmarkPass2048Dense(b *testing.B)  { benchPassScale(b, 2048, false) }
+func BenchmarkPass2048Sparse(b *testing.B) { benchPassScale(b, 2048, true) }
 
 // BenchmarkSlotsOf1024 measures the per-pair slot index (satellite of the
 // scale-out issue): SlotsOf used to rescan all K configuration matrices per

@@ -22,8 +22,8 @@ import (
 //     to end: the phased family's program is stripped, re-discovered by the
 //     compiler analysis, and its per-phase demand matrices drive the
 //     Solstice planner.
-//   - AdversarySweep pits the scheduler's memoized-pass cache and
-//     warm-started incremental scheduling against the permutation-churn
+//   - AdversarySweep pits the paper's connection cache — established
+//     connections reused by later messages — against the permutation-churn
 //     adversary, with a stable permutation as the control.
 
 // FamilySpecs lists the post-paper workload families the family sweep
@@ -67,7 +67,7 @@ func FamilySweepExec(ex Exec, n int, seed int64) ([]NamedResult, error) {
 		if err != nil {
 			return NamedResult{}, fmt.Errorf("experiments: %w", err)
 		}
-		nw, err := newTDM(c.cfg)
+		nw, err := tdm.New(c.cfg)
 		if err != nil {
 			return NamedResult{}, err
 		}
@@ -143,8 +143,7 @@ func PhasedStudyTable(s PhasedStudy) *metrics.Table {
 	return t
 }
 
-// AdversaryPair holds the sched-cache/warm-start telemetry of one
-// adversary-sweep run.
+// AdversaryPair holds the result of one adversary-sweep run.
 type AdversaryPair struct {
 	Label  string
 	Result metrics.Result
@@ -155,20 +154,14 @@ func AdversarySweep(n int, seed int64) ([]AdversaryPair, error) {
 	return AdversarySweepExec(Serial, n, seed)
 }
 
-// AdversarySweepExec runs dynamic TDM — memoized-pass cache on, warm-started
-// incremental scheduling on — over a stable permutation (shift, the control)
-// and the permutation-churn adversary. The stable workload repeats one
-// request matrix, so passes replay from the cache and warm passes touch few
-// rows; the churn workload presents a fresh permutation every round, so the
-// cache misses and nearly every row re-evaluates. The Sched telemetry gap
-// between the two rows is the cost of losing predictability.
-//
-// Priority rotation is disabled: the pass cache keys on the full scheduler
-// state including the rotation cursor, so with rotation on no key can recur
-// until N passes have elapsed and short runs at large N would show zero
-// hits for every workload — including perfectly stable ones. A permutation
-// needs no fairness rotation (one requester per output), so turning it off
-// isolates the variable under study.
+// AdversarySweepExec runs Figure 4's dynamic TDM (time-out predictor) over a
+// stable permutation (shift, the control) and the permutation-churn
+// adversary. The stable workload keeps one working set, so after the first
+// round its messages find their connection already established (the
+// paper's connection-cache hit); the churn workload presents a fresh
+// permutation every round, so messages wait for scheduling and the
+// predictor evicts the previous round's connections. The hit-rate, pass and
+// eviction gap between the two rows is the cost of losing predictability.
 func AdversarySweepExec(ex Exec, n int, seed int64) ([]AdversaryPair, error) {
 	// Equal per-connection message counts, so the runs differ only in how
 	// the working set moves: one fixed permutation vs a fresh one per round.
@@ -176,15 +169,14 @@ func AdversarySweepExec(ex Exec, n int, seed int64) ([]AdversaryPair, error) {
 		"shift:msgs=64",
 		"perm-churn:rounds=16,msgs=4",
 	}
-	norot := false
 	results, err := sweep(ex, len(specs), func(i int) (AdversaryPair, error) {
 		wl, err := traffic.Generate(specs[i], n, seed)
 		if err != nil {
 			return AdversaryPair{}, fmt.Errorf("experiments: %w", err)
 		}
-		cfg := tdm.Config{N: n, K: Fig4K, WarmStart: true, RotatePriority: &norot,
+		cfg := tdm.Config{N: n, K: Fig4K,
 			NewPredictor: func() predictor.Predictor { return predictor.NewTimeout(Fig4Timeout) }}
-		nw, err := newTDM(cfg)
+		nw, err := tdm.New(cfg)
 		if err != nil {
 			return AdversaryPair{}, err
 		}
@@ -200,34 +192,14 @@ func AdversarySweepExec(ex Exec, n int, seed int64) ([]AdversaryPair, error) {
 	return results, nil
 }
 
-// CacheHitRatio returns the memoized-pass cache hit ratio of a run's
-// scheduler telemetry (0 when the run scheduled nothing).
-func CacheHitRatio(r metrics.Result) float64 {
-	total := r.Stats.SchedCacheHits + r.Stats.SchedCacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Stats.SchedCacheHits) / float64(total)
-}
-
-// WarmRowFraction returns the mean fraction of rows re-evaluated per
-// warm-started pass, normalized by the port count (1.0 = every warm pass
-// re-evaluated every row; 0 = warm passes repaired nothing).
-func WarmRowFraction(r metrics.Result, n int) float64 {
-	if r.Stats.SchedWarmHits == 0 {
-		return 0
-	}
-	return float64(r.Stats.SchedDirtyRows) / float64(r.Stats.SchedWarmHits*uint64(n))
-}
-
-// AdversaryTable renders the adversary sweep with the scheduler-economy
-// columns the ablation table flattens away.
-func AdversaryTable(n int, rows []AdversaryPair) *metrics.Table {
-	t := metrics.NewTable("Adversarial traffic vs the scheduler caches (dynamic TDM, warm start on)",
-		"workload", "makespan", "efficiency", "cache hit", "warm dirty-row frac", "evictions")
+// AdversaryTable renders the adversary sweep with the connection-cache
+// columns: the hit rate, the scheduling passes and the predictor evictions.
+func AdversaryTable(rows []AdversaryPair) *metrics.Table {
+	t := metrics.NewTable("Adversarial traffic vs the connection cache (dynamic TDM, time-out predictor)",
+		"workload", "makespan", "efficiency", "conn hit", "passes", "evictions")
 	for _, r := range rows {
 		t.AddRowf(r.Label, r.Result.Makespan.String(), r.Result.Efficiency,
-			CacheHitRatio(r.Result), WarmRowFraction(r.Result, n), r.Result.Stats.Evictions)
+			r.Result.Stats.HitRate(), r.Result.Stats.SchedulerPasses, r.Result.Stats.Evictions)
 	}
 	return t
 }

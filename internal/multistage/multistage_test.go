@@ -159,6 +159,55 @@ func TestQuickOmegaRouteMatchesEval(t *testing.T) {
 	}
 }
 
+// TestQuickOmegaCanRealizeMatchesRoute pins the settings-free realizability
+// check to Route's verdict over random matrices — blocked and routable
+// partial permutations as well as matrices that are not partial
+// permutations at all.
+func TestQuickOmegaCanRealizeMatchesRoute(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 << rng.Intn(6)
+		o, _ := NewOmega(n)
+		cfg := bitmat.NewSquare(n)
+		if rng.Intn(4) == 0 {
+			for e := rng.Intn(n + 1); e > 0; e-- {
+				cfg.Set(rng.Intn(n), rng.Intn(n))
+			}
+		} else {
+			for i, v := range rng.Perm(n) {
+				if rng.Float64() < 0.5 {
+					cfg.Set(i, v)
+				}
+			}
+		}
+		_, err := o.Route(cfg)
+		if got := o.CanRealize(cfg); got != (err == nil) {
+			t.Errorf("n=%d: CanRealize %v, Route error %v\n%v", n, got, err, cfg)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	o, _ := NewOmega(16)
+	if o.CanRealize(bitmat.NewSquare(8)) {
+		t.Error("CanRealize accepted a configuration of the wrong shape")
+	}
+}
+
+// TestOmegaCanRealizeAllocationFree pins the scheduler-hook cost: the check
+// runs for every candidate connection on an Omega fabric.
+func TestOmegaCanRealizeAllocationFree(t *testing.T) {
+	for _, n := range []int{16, 128, 4096} {
+		o, _ := NewOmega(n)
+		cfg := bitmat.FromPermutation(rand.New(rand.NewSource(1)).Perm(n))
+		if allocs := testing.AllocsPerRun(10, func() { o.CanRealize(cfg) }); allocs != 0 {
+			t.Errorf("n=%d: CanRealize allocates %.0f times per call", n, allocs)
+		}
+	}
+}
+
 func TestNewBenesValidation(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 12} {
 		if _, err := NewBenes(n); err == nil {

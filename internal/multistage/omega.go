@@ -51,10 +51,6 @@ func (o *Omega) Stages() int { return o.stages }
 // SwitchesPerStage returns N/2.
 func (o *Omega) SwitchesPerStage() int { return o.n / 2 }
 
-// Leaves returns the number of input-stage 2x2 switch elements, N/2 — the
-// natural sharding grain of the fabric's input side.
-func (o *Omega) Leaves() int { return o.n / 2 }
-
 // Settings holds one switch state per stage and switch: false = through,
 // true = cross. Only switches on active paths are meaningful; the Route
 // simulation treats unconstrained switches as through.
@@ -125,10 +121,50 @@ func (o *Omega) routeOne(settings, constrained [][]bool, u, v int) error {
 	return nil
 }
 
-// CanRealize reports whether the configuration is Omega-realizable.
+// omegaScratchWords sizes CanRealize's on-stack line bitsets: one N-bit set
+// per stage, enough for every N up to 4096 (12 stages of 64 words).
+const omegaScratchWords = 12 * 64
+
+// CanRealize reports whether the configuration is Omega-realizable — the
+// same verdict as Route, without computing settings. Destination-tag
+// routing puts the path u→v, after stage s, on the line
+// ((u << (s+1)) mod N) | (v >> (stages-1-s)), so two paths block each other
+// exactly when some stage puts them on the same line (the last stage's line
+// is v itself, so this also rejects a repeated output). The scheduler's
+// fabric hook calls this for every candidate connection on a blocking
+// fabric; it allocates nothing for N up to 4096.
 func (o *Omega) CanRealize(cfg *bitmat.Matrix) bool {
-	_, err := o.Route(cfg)
-	return err == nil
+	if cfg.Rows() != o.n || cfg.Cols() != o.n {
+		return false
+	}
+	words := (o.n + 63) / 64
+	var buf [omegaScratchWords]uint64
+	var seen []uint64
+	if need := o.stages * words; need <= len(buf) {
+		seen = buf[:need]
+	} else {
+		seen = make([]uint64, need)
+	}
+	mask := o.n - 1
+	ok, lastRow := true, -1
+	cfg.Ones(func(u, v int) bool {
+		if u == lastRow { // a second connection from one input
+			ok = false
+			return false
+		}
+		lastRow = u
+		for s := 0; s < o.stages; s++ {
+			line := (u<<(s+1))&mask | v>>(o.stages-1-s)
+			w, bit := s*words+line>>6, uint64(1)<<(line&63)
+			if seen[w]&bit != 0 {
+				ok = false
+				return false
+			}
+			seen[w] |= bit
+		}
+		return true
+	})
+	return ok
 }
 
 // Eval traces input u through the settings and returns the output it

@@ -101,6 +101,7 @@ func NewDriver(engine *sim.Engine, lm link.Model, wl *traffic.Workload, hooks Ho
 		wl:        wl,
 		hooks:     hooks,
 		remaining: wl.MessageCount(),
+		records:   make([]metrics.Record, 0, wl.MessageCount()),
 		progIdx:   make([]int, wl.N),
 		stepFns:   make([]func(), wl.N),
 		resume:    make(map[int]int),

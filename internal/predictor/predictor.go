@@ -14,7 +14,7 @@ package predictor
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
@@ -36,16 +36,17 @@ type Predictor interface {
 	OnRelease(c topology.Conn)
 	// Evictions returns the connections that should be evicted now. The
 	// caller is expected to evict them and then call OnRelease for each.
+	// The slice may be reused by the next Evictions call.
 	Evictions(now sim.Time) []topology.Conn
 }
 
 // sortConns orders connections for deterministic eviction order.
 func sortConns(cs []topology.Conn) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Src != cs[j].Src {
-			return cs[i].Src < cs[j].Src
+	slices.SortFunc(cs, func(a, b topology.Conn) int {
+		if a.Src != b.Src {
+			return a.Src - b.Src
 		}
-		return cs[i].Dst < cs[j].Dst
+		return a.Dst - b.Dst
 	})
 }
 
@@ -81,6 +82,7 @@ func (*Never) Evictions(sim.Time) []topology.Conn { return nil }
 type Timeout struct {
 	timeout sim.Time
 	lastUse map[topology.Conn]sim.Time
+	out     []topology.Conn // Evictions result, reused across calls
 }
 
 // NewTimeout builds a time-out predictor. timeout must be positive.
@@ -105,13 +107,14 @@ func (p *Timeout) OnRelease(c topology.Conn) { delete(p.lastUse, c) }
 
 // Evictions implements Predictor.
 func (p *Timeout) Evictions(now sim.Time) []topology.Conn {
-	var out []topology.Conn
+	out := p.out[:0]
 	for c, last := range p.lastUse {
 		if now-last >= p.timeout {
 			out = append(out, c)
 		}
 	}
 	sortConns(out)
+	p.out = out
 	return out
 }
 

@@ -51,6 +51,11 @@ func TestTimeoutEvictsIdleConnections(t *testing.T) {
 	if p.Tracked() != 1 {
 		t.Fatalf("Tracked = %d, want 1", p.Tracked())
 	}
+	// The TDM model asks for evictions every scheduling pass, so a warm
+	// predictor must answer without allocating.
+	if allocs := testing.AllocsPerRun(10, func() { p.Evictions(1000) }); allocs != 0 {
+		t.Errorf("Evictions allocates %.0f times per call", allocs)
+	}
 }
 
 func TestTimeoutExactBoundary(t *testing.T) {

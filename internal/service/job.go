@@ -45,19 +45,13 @@ type ConfigSpec struct {
 	AmplifyBytes      int    `json:"amplify_bytes,omitempty"`
 	Fabric            string `json:"fabric,omitempty"`
 	// Faults is a fault-plan spec in the pmsnet.ParseFaults syntax.
-	Faults     string `json:"faults,omitempty"`
-	SchedCache *bool  `json:"sched_cache,omitempty"`
+	Faults string `json:"faults,omitempty"`
 	// Scheduler selects the TDM scheduling algorithm (paper, islip,
 	// wavefront); empty means the paper scheduler.
 	Scheduler string `json:"scheduler,omitempty"`
 	// Planner selects the preload planner for tdm-preload/tdm-hybrid
 	// (static, solstice, bvn); empty means the static decomposition.
 	Planner string `json:"planner,omitempty"`
-	// SchedShards and SchedWarmStart are the execution-only scheduler
-	// knobs: bit-identical results, wall-clock cost only. They do not
-	// fragment the result cache (excluded from Config.Hash).
-	SchedShards    int  `json:"sched_shards,omitempty"`
-	SchedWarmStart bool `json:"sched_warm_start,omitempty"`
 }
 
 // WorkloadSpec selects a workload from the shared generator registry (the
@@ -134,7 +128,10 @@ type Job struct {
 	ID   string
 	Spec JobSpec
 
-	cfg      pmsnet.Config
+	cfg pmsnet.Config
+	// wls holds the job's workloads until the terminal transition drops
+	// them: a finished job keeps only its result bytes in the registry.
+	// Guarded by mu once the job is registered.
 	wls      []*pmsnet.Workload
 	key      cacheKey
 	deadline time.Duration
@@ -164,18 +161,18 @@ func (j *Job) snapshot() (State, time.Time, time.Time, []byte, bool, string, str
 	return j.state, j.started, j.finished, j.result, j.cached, j.errMsg, j.stack
 }
 
-// markRunning claims the job for a worker. It fails when the job was
-// cancelled while queued, which is how a queued-then-DELETEd job is skipped
-// instead of executed.
-func (j *Job) markRunning(at time.Time) bool {
+// markRunning claims the job for a worker and hands it the workloads to
+// run. It fails when the job was cancelled while queued, which is how a
+// queued-then-DELETEd job is skipped instead of executed.
+func (j *Job) markRunning(at time.Time) ([]*pmsnet.Workload, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return false
+		return nil, false
 	}
 	j.state = StateRunning
 	j.started = at
-	return true
+	return j.wls, true
 }
 
 // finish moves the job to a terminal state exactly once; later calls are
@@ -183,7 +180,8 @@ func (j *Job) markRunning(at time.Time) bool {
 // job, for example). It returns whether this call performed the transition,
 // which is what keeps the terminal metrics exactly-once under cancel/worker
 // races. The job's context is released on the way out so the server's base
-// context does not accumulate dead children.
+// context does not accumulate dead children, and its workloads are dropped
+// so the registry retains only the result.
 func (j *Job) finish(state State, result []byte, errMsg, stack string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -195,6 +193,7 @@ func (j *Job) finish(state State, result []byte, errMsg, stack string) bool {
 	j.result = result
 	j.errMsg = errMsg
 	j.stack = stack
+	j.wls = nil
 	close(j.done)
 	if j.cancel != nil {
 		j.cancel()
@@ -268,9 +267,6 @@ func buildConfig(spec ConfigSpec) (pmsnet.Config, error) {
 		EvictionTimeout:   time.Duration(spec.EvictionTimeoutNS),
 		EvictionThreshold: spec.EvictionThreshold,
 		AmplifyBytes:      spec.AmplifyBytes,
-		SchedCache:        spec.SchedCache,
-		SchedShards:       spec.SchedShards,
-		SchedWarmStart:    spec.SchedWarmStart,
 		Parallelism:       1, // each job owns exactly one worker
 	}
 	var err error

@@ -45,7 +45,8 @@ func (s *Server) startWorkers() {
 // The recover sits inside the child goroutine, where the panic would
 // otherwise crash the whole process.
 func (s *Server) runJob(j *Job) {
-	if !j.markRunning(time.Now()) {
+	wls, ok := j.markRunning(time.Now())
+	if !ok {
 		// Cancelled while queued (DELETE or shutdown abort): nothing ran,
 		// the terminal transition already happened.
 		return
@@ -76,7 +77,7 @@ func (s *Server) runJob(j *Job) {
 				}
 			}
 		}()
-		payload, err := s.execute(ctx, j)
+		payload, err := s.execute(ctx, j, wls)
 		ch <- outcome{payload: payload, err: err}
 	}()
 
@@ -126,12 +127,14 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// execute runs the job's simulations and marshals the canonical result
-// payload. Multi-seed jobs fan through runner.MapCtx with parallelism 1 —
-// one job never occupies more than its one worker — so cancellation and
-// deadlines take effect between seeds even though a single simulation,
-// once started, runs to completion in the abandoned goroutine.
-func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
+// execute runs the job's simulations over wls and marshals the canonical
+// result payload. Multi-seed jobs fan through runner.MapCtx with
+// parallelism 1 — one job never occupies more than its one worker — so
+// cancellation and deadlines take effect between seeds even though a single
+// simulation, once started, runs to completion in the abandoned goroutine.
+// wls is the worker's own copy of the job's slice: the terminal transition
+// clears the job's field while an abandoned run may still be reading.
+func (s *Server) execute(ctx context.Context, j *Job, wls []*pmsnet.Workload) ([]byte, error) {
 	switch j.testPattern {
 	case "panic":
 		panic("injected test panic (pattern \"panic\")")
@@ -143,16 +146,14 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 			return nil, ctx.Err()
 		}
 	}
-	reports, err := runner.MapCtx(ctx, runner.Options{Parallelism: 1}, len(j.wls),
+	reports, err := runner.MapCtx(ctx, runner.Options{Parallelism: 1}, len(wls),
 		func(i int) (pmsnet.Report, error) {
-			return pmsnet.Run(j.cfg, j.wls[i])
+			return pmsnet.Run(j.cfg, wls[i])
 		})
 	if err != nil {
 		return nil, err
 	}
 	for _, rep := range reports {
-		s.metrics.recordSched(rep.Sched.CacheHits, rep.Sched.CacheMisses,
-			rep.Sched.WarmHits, rep.Sched.WarmMisses, rep.Sched.DirtyRows)
 		s.metrics.recordPlan(rep.Plan.Planner, rep.Plan.Configs, rep.Plan.ResidualConns)
 	}
 	return json.Marshal(JobResult{Reports: reports})

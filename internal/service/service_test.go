@@ -8,8 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"pmsnet"
 )
 
 // newTestServer builds a Server on the given config and an httptest front
@@ -598,37 +601,92 @@ func TestJobRegistryPrunesTerminalJobs(t *testing.T) {
 	_ = fmt.Sprintf("%s", firstID)
 }
 
-// TestMetricsAggregateSchedCounters pins the /metrics scheduler aggregation:
-// a freshly completed warm-start job contributes its report's sched-cache and
-// warm-start counters, and a cached replay of the same job contributes
-// nothing (the simulation never re-ran).
-func TestMetricsAggregateSchedCounters(t *testing.T) {
+// TestRemovedSchedFieldsRejected pins the retired scheduler knobs: a job
+// body that still carries sched_cache, sched_shards or sched_warm_start is
+// refused with the strict decoder's 400, and the message names the field.
+func TestRemovedSchedFieldsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	spec := JobSpec{
-		Config:   ConfigSpec{Switching: "tdm-dynamic", N: 16, SchedWarmStart: true},
-		Workload: WorkloadSpec{Pattern: "random-mesh", Msgs: 20, Seed: 3},
+	for _, field := range []string{`"sched_cache":false`, `"sched_shards":4`, `"sched_warm_start":true`} {
+		body := `{"config":{"switching":"tdm-dynamic","n":16,` + field + `},"workload":{"pattern":"scatter"}}`
+		resp, err := http.Post(ts.URL+"/jobs?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (body %s)", field, resp.StatusCode, b)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(b, &eb); err != nil {
+			t.Fatalf("%s: undecodable error body %q", field, b)
+		}
+		name := strings.SplitN(strings.Trim(field, `"`), `"`, 2)[0]
+		if !strings.Contains(eb.Error, `unknown field "`+name+`"`) {
+			t.Errorf("%s: error %q does not name the field", field, eb.Error)
+		}
 	}
-	if resp, body := post(t, ts, spec, true); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm job: status %d: %s", resp.StatusCode, body)
+	if m := fetchMetrics(t, ts); m.Rejected400 != 3 {
+		t.Errorf("rejected_400 = %d, want 3", m.Rejected400)
 	}
-	m := fetchMetrics(t, ts)
-	if m.SchedCacheHits+m.SchedCacheMisses == 0 {
-		t.Error("sched cache counters stayed zero after a completed TDM job")
+}
+
+// TestFinishedJobReleasesWorkloads pins the registry's retention: once a job
+// reaches a terminal state it no longer holds its workloads, and the result
+// served afterwards is still byte-identical to the run's own report. Run
+// with -race in CI.
+func TestFinishedJobReleasesWorkloads(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	spec := simSpec(11)
+	spec.Workload.Seeds = 2
+	resp, body := post(t, ts, spec, true)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	if m.SchedWarmHits+m.SchedWarmMisses == 0 {
-		t.Error("warm counters stayed zero after a completed warm-start job")
+	var st JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
 	}
-	// The replay is a service-cache hit: aggregates must not move.
-	if resp, body := post(t, ts, spec, true); resp.StatusCode != http.StatusOK {
-		t.Fatalf("replay: status %d: %s", resp.StatusCode, body)
+	j, ok := s.lookup(st.ID)
+	if !ok {
+		t.Fatalf("job %s missing from the registry", st.ID)
 	}
-	m2 := fetchMetrics(t, ts)
-	if m2.CacheHits != m.CacheHits+1 {
-		t.Fatalf("replay was not a cache hit: %+v -> %+v", m, m2)
+	j.mu.Lock()
+	held := len(j.wls)
+	j.mu.Unlock()
+	if held != 0 {
+		t.Errorf("finished job still holds %d workloads", held)
 	}
-	if m2.SchedWarmHits != m.SchedWarmHits || m2.SchedCacheMisses != m.SchedCacheMisses ||
-		m2.SchedDirtyRows != m.SchedDirtyRows {
-		t.Errorf("cached replay moved the sched aggregates: %+v -> %+v", m, m2)
+
+	// The served result equals a direct run of the same workloads.
+	cfg, err := buildConfig(spec.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wls, err := buildWorkloads(cfg, spec.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want JobResult
+	for _, wl := range wls {
+		rep, err := pmsnet.Run(cfg, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Reports = append(want.Reports, rep)
+	}
+	wantBytes, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := getStatus(t, ts, st.ID).Result; !bytes.Equal(got, wantBytes) {
+		t.Errorf("GET /jobs/%s result differs from a direct run:\n got %s\nwant %s", st.ID, got, wantBytes)
+	}
+	if !bytes.Equal(st.Result, wantBytes) {
+		t.Errorf("submit response result differs from a direct run")
 	}
 }
 

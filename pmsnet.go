@@ -35,7 +35,6 @@ package pmsnet
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"pmsnet/internal/circuit"
@@ -86,58 +85,34 @@ const (
 	MeshTDM
 )
 
-// String implements fmt.Stringer.
-func (s Switching) String() string {
-	switch s {
-	case Wormhole:
-		return "wormhole"
-	case CircuitSwitching:
-		return "circuit"
-	case DynamicTDM:
-		return "tdm-dynamic"
-	case PreloadTDM:
-		return "tdm-preload"
-	case HybridTDM:
-		return "tdm-hybrid"
-	case VOQISLIP:
-		return "voq-islip"
-	case MeshWormhole:
-		return "mesh-wormhole"
-	case MeshTDM:
-		return "mesh-tdm"
-	default:
-		return fmt.Sprintf("Switching(%d)", int(s))
-	}
+// switchingNames is the Switching name table, in flag-name order.
+var switchingNames = enumTable[Switching]{
+	typeName:  "Switching",
+	parseNoun: "switching paradigm",
+	checkNoun: "paradigm",
+	names: []string{
+		Wormhole:         "wormhole",
+		CircuitSwitching: "circuit",
+		DynamicTDM:       "tdm-dynamic",
+		PreloadTDM:       "tdm-preload",
+		HybridTDM:        "tdm-hybrid",
+		VOQISLIP:         "voq-islip",
+		MeshWormhole:     "mesh-wormhole",
+		MeshTDM:          "mesh-tdm",
+	},
 }
 
-// switchingValues lists every valid paradigm, in flag-name order.
-var switchingValues = []Switching{
-	Wormhole, CircuitSwitching, DynamicTDM, PreloadTDM, HybridTDM,
-	VOQISLIP, MeshWormhole, MeshTDM,
-}
+// String implements fmt.Stringer.
+func (s Switching) String() string { return switchingNames.name(s) }
 
 // SwitchingNames returns the canonical names accepted by ParseSwitching, in
 // a stable order — the vocabulary of the cmd/pmsim -net flag.
-func SwitchingNames() []string {
-	out := make([]string, len(switchingValues))
-	for i, v := range switchingValues {
-		out[i] = v.String()
-	}
-	return out
-}
+func SwitchingNames() []string { return switchingNames.vocabulary() }
 
 // ParseSwitching is the inverse of Switching.String: it maps a canonical
 // paradigm name ("wormhole", "tdm-dynamic", ...) back to its value. Unknown
 // names produce an error listing every valid name.
-func ParseSwitching(name string) (Switching, error) {
-	for _, v := range switchingValues {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("pmsnet: unknown switching paradigm %q (valid: %s)",
-		name, strings.Join(SwitchingNames(), ", "))
-}
+func ParseSwitching(name string) (Switching, error) { return switchingNames.parse(name) }
 
 // EvictionPolicy selects the connection-eviction predictor for the TDM
 // modes (paper §3.2).
@@ -162,51 +137,31 @@ const (
 	MarkovPrefetch
 )
 
-// String implements fmt.Stringer with the cmd/pmsim -eviction vocabulary.
-func (p EvictionPolicy) String() string {
-	switch p {
-	case ReleaseOnEmpty:
-		return "reactive"
-	case TimeoutEviction:
-		return "timeout"
-	case CounterEviction:
-		return "counter"
-	case NeverEvict:
-		return "never"
-	case MarkovPrefetch:
-		return "markov"
-	default:
-		return fmt.Sprintf("EvictionPolicy(%d)", int(p))
-	}
+// evictionNames is the EvictionPolicy name table, in flag-name order.
+var evictionNames = enumTable[EvictionPolicy]{
+	typeName:  "EvictionPolicy",
+	parseNoun: "eviction policy",
+	checkNoun: "policy",
+	names: []string{
+		ReleaseOnEmpty:  "reactive",
+		TimeoutEviction: "timeout",
+		CounterEviction: "counter",
+		NeverEvict:      "never",
+		MarkovPrefetch:  "markov",
+	},
 }
 
-// evictionValues lists every valid policy, in flag-name order.
-var evictionValues = []EvictionPolicy{
-	ReleaseOnEmpty, TimeoutEviction, CounterEviction, NeverEvict, MarkovPrefetch,
-}
+// String implements fmt.Stringer with the cmd/pmsim -eviction vocabulary.
+func (p EvictionPolicy) String() string { return evictionNames.name(p) }
 
 // EvictionNames returns the canonical names accepted by ParseEviction, in a
 // stable order — the vocabulary of the cmd/pmsim -eviction flag.
-func EvictionNames() []string {
-	out := make([]string, len(evictionValues))
-	for i, v := range evictionValues {
-		out[i] = v.String()
-	}
-	return out
-}
+func EvictionNames() []string { return evictionNames.vocabulary() }
 
 // ParseEviction is the inverse of EvictionPolicy.String: it maps a canonical
 // policy name ("reactive", "timeout", ...) back to its value. Unknown names
 // produce an error listing every valid name.
-func ParseEviction(name string) (EvictionPolicy, error) {
-	for _, v := range evictionValues {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("pmsnet: unknown eviction policy %q (valid: %s)",
-		name, strings.Join(EvictionNames(), ", "))
-}
+func ParseEviction(name string) (EvictionPolicy, error) { return evictionNames.parse(name) }
 
 // Fabric selects the switching-fabric backend for the TDM modes. The
 // baselines model their own data paths and ignore it.
@@ -231,47 +186,30 @@ const (
 	FabricBenes
 )
 
-// String implements fmt.Stringer with the cmd/pmsim -fabric vocabulary.
-func (f Fabric) String() string {
-	switch f {
-	case FabricCrossbar:
-		return "crossbar"
-	case FabricOmega:
-		return "omega"
-	case FabricClos:
-		return "clos"
-	case FabricBenes:
-		return "benes"
-	default:
-		return fmt.Sprintf("Fabric(%d)", int(f))
-	}
+// fabricNames is the Fabric name table, in flag-name order.
+var fabricNames = enumTable[Fabric]{
+	typeName:  "Fabric",
+	parseNoun: "fabric",
+	checkNoun: "fabric",
+	names: []string{
+		FabricCrossbar: "crossbar",
+		FabricOmega:    "omega",
+		FabricClos:     "clos",
+		FabricBenes:    "benes",
+	},
 }
 
-// fabricValues lists every valid fabric, in flag-name order.
-var fabricValues = []Fabric{FabricCrossbar, FabricOmega, FabricClos, FabricBenes}
+// String implements fmt.Stringer with the cmd/pmsim -fabric vocabulary.
+func (f Fabric) String() string { return fabricNames.name(f) }
 
 // FabricNames returns the canonical names accepted by ParseFabric, in a
 // stable order — the vocabulary of the cmd/pmsim -fabric flag.
-func FabricNames() []string {
-	out := make([]string, len(fabricValues))
-	for i, v := range fabricValues {
-		out[i] = v.String()
-	}
-	return out
-}
+func FabricNames() []string { return fabricNames.vocabulary() }
 
 // ParseFabric is the inverse of Fabric.String: it maps a canonical fabric
 // name ("crossbar", "omega", "clos", "benes") back to its value. Unknown
 // names produce an error listing every valid name.
-func ParseFabric(name string) (Fabric, error) {
-	for _, v := range fabricValues {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("pmsnet: unknown fabric %q (valid: %s)",
-		name, strings.Join(FabricNames(), ", "))
-}
+func ParseFabric(name string) (Fabric, error) { return fabricNames.parse(name) }
 
 // fabricKinds maps the public Fabric vocabulary onto the internal backend
 // kinds, indexed by Fabric value.
@@ -302,45 +240,29 @@ const (
 	SchedulerWavefront
 )
 
-// String implements fmt.Stringer with the cmd/pmsim -sched vocabulary.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedulerPaper:
-		return "paper"
-	case SchedulerISLIP:
-		return "islip"
-	case SchedulerWavefront:
-		return "wavefront"
-	default:
-		return fmt.Sprintf("Scheduler(%d)", int(s))
-	}
+// schedulerNames is the Scheduler name table, in flag-name order.
+var schedulerNames = enumTable[Scheduler]{
+	typeName:  "Scheduler",
+	parseNoun: "scheduler",
+	checkNoun: "scheduler",
+	names: []string{
+		SchedulerPaper:     "paper",
+		SchedulerISLIP:     "islip",
+		SchedulerWavefront: "wavefront",
+	},
 }
 
-// schedulerValues lists every valid scheduler, in flag-name order.
-var schedulerValues = []Scheduler{SchedulerPaper, SchedulerISLIP, SchedulerWavefront}
+// String implements fmt.Stringer with the cmd/pmsim -sched vocabulary.
+func (s Scheduler) String() string { return schedulerNames.name(s) }
 
 // SchedulerNames returns the canonical names accepted by ParseScheduler, in a
 // stable order — the vocabulary of the cmd/pmsim -sched flag.
-func SchedulerNames() []string {
-	out := make([]string, len(schedulerValues))
-	for i, v := range schedulerValues {
-		out[i] = v.String()
-	}
-	return out
-}
+func SchedulerNames() []string { return schedulerNames.vocabulary() }
 
 // ParseScheduler is the inverse of Scheduler.String: it maps a canonical
 // algorithm name ("paper", "islip", "wavefront") back to its value. Unknown
 // names produce an error listing every valid name.
-func ParseScheduler(name string) (Scheduler, error) {
-	for _, v := range schedulerValues {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("pmsnet: unknown scheduler %q (valid: %s)",
-		name, strings.Join(SchedulerNames(), ", "))
-}
+func ParseScheduler(name string) (Scheduler, error) { return schedulerNames.parse(name) }
 
 // schedulerAlgs maps the public Scheduler vocabulary onto the internal
 // algorithm values, indexed by Scheduler value.
@@ -376,45 +298,29 @@ const (
 	PlannerBvN
 )
 
-// String implements fmt.Stringer with the cmd/pmsim -planner vocabulary.
-func (p Planner) String() string {
-	switch p {
-	case PlannerStatic:
-		return "static"
-	case PlannerSolstice:
-		return "solstice"
-	case PlannerBvN:
-		return "bvn"
-	default:
-		return fmt.Sprintf("Planner(%d)", int(p))
-	}
+// plannerNames is the Planner name table, in flag-name order.
+var plannerNames = enumTable[Planner]{
+	typeName:  "Planner",
+	parseNoun: "planner",
+	checkNoun: "planner",
+	names: []string{
+		PlannerStatic:   "static",
+		PlannerSolstice: "solstice",
+		PlannerBvN:      "bvn",
+	},
 }
 
-// plannerValues lists every valid planner, in flag-name order.
-var plannerValues = []Planner{PlannerStatic, PlannerSolstice, PlannerBvN}
+// String implements fmt.Stringer with the cmd/pmsim -planner vocabulary.
+func (p Planner) String() string { return plannerNames.name(p) }
 
 // PlannerNames returns the canonical names accepted by ParsePlanner, in a
 // stable order — the vocabulary of the cmd/pmsim -planner flag.
-func PlannerNames() []string {
-	out := make([]string, len(plannerValues))
-	for i, v := range plannerValues {
-		out[i] = v.String()
-	}
-	return out
-}
+func PlannerNames() []string { return plannerNames.vocabulary() }
 
 // ParsePlanner is the inverse of Planner.String: it maps a canonical planner
 // name ("static", "solstice", "bvn") back to its value. Unknown names produce
 // an error listing every valid name.
-func ParsePlanner(name string) (Planner, error) {
-	for _, v := range plannerValues {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("pmsnet: unknown planner %q (valid: %s)",
-		name, strings.Join(PlannerNames(), ", "))
-}
+func ParsePlanner(name string) (Planner, error) { return plannerNames.parse(name) }
 
 // plannerKinds maps the public Planner vocabulary onto the internal planner
 // kinds, indexed by Planner value.
@@ -467,25 +373,6 @@ type Config struct {
 	// reports; the alternatives are comparison baselines. The non-TDM
 	// baselines ignore the field.
 	Scheduler Scheduler
-	// SchedShards caps the number of per-leaf scheduler shards for the TDM
-	// modes: scheduling passes precompute change cells in parallel across
-	// leaf-aligned port shards, then merge grants serially in priority
-	// order, so results are bit-identical to unsharded scheduling (the
-	// Report does not change; only wall-clock cost does, which is why the
-	// field is excluded from Config.Hash). Zero disables sharding. Sharding
-	// engages only on fabrics with a leaf seam (Clos, Omega, Benes) under
-	// the paper scheduler.
-	SchedShards int
-	// SchedWarmStart enables warm-started incremental scheduling for the
-	// TDM modes: the request matrix keeps a delta journal, and each
-	// scheduling pass seeds itself from the previous pass's configuration
-	// state, re-evaluating only the rows whose requests or connections
-	// changed. Results are bit-identical to cold scheduling (the Report
-	// does not change beyond the Sched.Warm* telemetry counters; only
-	// wall-clock cost does, which is why the field is excluded from
-	// Config.Hash). Warm starting engages only under the paper scheduler;
-	// combining it with another Scheduler fails Validate.
-	SchedWarmStart bool
 	// Faults, when non-nil and active, injects faults per the plan: link
 	// failures (MTBF/MTTR or scripted), corrupted payloads caught by the
 	// receiving NIC's CRC, lost scheduler request/grant tokens and dead
@@ -502,15 +389,6 @@ type Config struct {
 	// reproducible; parallelism comes from running independent simulations
 	// concurrently, with results always in input order.
 	Parallelism int
-	// SchedCache controls the TDM scheduler's memoized-pass cache: passes
-	// repeating a previously seen (scheduler state, request matrix) pair
-	// replay the recorded grant set instead of re-running the scheduling
-	// array. nil (the default) enables it. Results are bit-identical with
-	// the cache on or off — only the Report's Sched.CacheHits/CacheMisses
-	// counters and the wall-clock cost differ — so disabling it is only
-	// useful for benchmarking the raw array or bisecting a suspected cache
-	// defect. Ignored by the non-TDM baselines.
-	SchedCache *bool
 	// Probe, when non-nil, streams typed simulation events (slot, scheduler,
 	// connection, message and fault lifecycle) to the probe's sinks during
 	// the run. Probes are purely observational: the Report is bit-identical
@@ -547,16 +425,8 @@ func (e *ConfigError) Error() string {
 // defaults (K, EvictionTimeout, ...) pass.
 func (c Config) Validate() error {
 	c = c.withDefaults()
-	known := false
-	for _, v := range switchingValues {
-		if c.Switching == v {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return &ConfigError{Field: "Switching", Value: int(c.Switching),
-			Reason: fmt.Sprintf("unknown paradigm (valid: %s)", strings.Join(SwitchingNames(), ", "))}
+	if err := switchingNames.check("Switching", c.Switching); err != nil {
+		return err
 	}
 	if c.N < 2 {
 		return &ConfigError{Field: "N", Value: c.N, Reason: "need at least 2 processors"}
@@ -566,16 +436,8 @@ func (c Config) Validate() error {
 	}
 	switch c.Switching {
 	case DynamicTDM, PreloadTDM, HybridTDM:
-		knownEv := false
-		for _, v := range evictionValues {
-			if c.Eviction == v {
-				knownEv = true
-				break
-			}
-		}
-		if !knownEv {
-			return &ConfigError{Field: "Eviction", Value: int(c.Eviction),
-				Reason: fmt.Sprintf("unknown policy (valid: %s)", strings.Join(EvictionNames(), ", "))}
+		if err := evictionNames.check("Eviction", c.Eviction); err != nil {
+			return err
 		}
 	}
 	if c.Switching == HybridTDM && (c.PreloadSlots < 0 || c.PreloadSlots > c.K) {
@@ -585,27 +447,11 @@ func (c Config) Validate() error {
 	if c.AmplifyBytes < 0 {
 		return &ConfigError{Field: "AmplifyBytes", Value: c.AmplifyBytes, Reason: "must not be negative"}
 	}
-	knownFab := false
-	for _, v := range fabricValues {
-		if c.Fabric == v {
-			knownFab = true
-			break
-		}
+	if err := fabricNames.check("Fabric", c.Fabric); err != nil {
+		return err
 	}
-	if !knownFab {
-		return &ConfigError{Field: "Fabric", Value: int(c.Fabric),
-			Reason: fmt.Sprintf("unknown fabric (valid: %s)", strings.Join(FabricNames(), ", "))}
-	}
-	knownPlanner := false
-	for _, v := range plannerValues {
-		if c.Planner == v {
-			knownPlanner = true
-			break
-		}
-	}
-	if !knownPlanner {
-		return &ConfigError{Field: "Planner", Value: int(c.Planner),
-			Reason: fmt.Sprintf("unknown planner (valid: %s)", strings.Join(PlannerNames(), ", "))}
+	if err := plannerNames.check("Planner", c.Planner); err != nil {
+		return err
 	}
 	if c.Planner != PlannerStatic {
 		switch c.Switching {
@@ -620,41 +466,13 @@ func (c Config) Validate() error {
 				Reason: fmt.Sprintf("preload planning needs preloaded slots; %s has none", c.Switching)}
 		}
 	}
-	knownSched := false
-	for _, v := range schedulerValues {
-		if c.Scheduler == v {
-			knownSched = true
-			break
-		}
-	}
-	if !knownSched {
-		return &ConfigError{Field: "Scheduler", Value: int(c.Scheduler),
-			Reason: fmt.Sprintf("unknown scheduler (valid: %s)", strings.Join(SchedulerNames(), ", "))}
-	}
-	if c.SchedShards < 0 {
-		return &ConfigError{Field: "SchedShards", Value: c.SchedShards, Reason: "must not be negative"}
+	if err := schedulerNames.check("Scheduler", c.Scheduler); err != nil {
+		return err
 	}
 	switch c.Switching {
 	case DynamicTDM, PreloadTDM, HybridTDM:
-		be, err := fabric.NewBackend(fabricKinds[c.Fabric], c.N)
-		if err != nil {
+		if _, err := fabric.NewBackend(fabricKinds[c.Fabric], c.N); err != nil {
 			return &ConfigError{Field: "Fabric", Value: c.Fabric.String(), Reason: err.Error()}
-		}
-		// Sharding and warm starting are paper-scheduler features: both
-		// lean on the Tables 1–2 pass structure (leaf-aligned change cells,
-		// rotated-row re-evaluation). Asking for them elsewhere is a
-		// misconfiguration, not something to ignore silently.
-		if c.SchedShards > 1 && c.Scheduler != SchedulerPaper {
-			return &ConfigError{Field: "SchedShards", Value: c.SchedShards,
-				Reason: fmt.Sprintf("sharding requires the paper scheduler, not %s", c.Scheduler)}
-		}
-		if c.SchedShards > 1 && be.Leaves() < 2 {
-			return &ConfigError{Field: "SchedShards", Value: c.SchedShards,
-				Reason: fmt.Sprintf("fabric %s has a single leaf, no seam to shard on", c.Fabric)}
-		}
-		if c.SchedWarmStart && c.Scheduler != SchedulerPaper {
-			return &ConfigError{Field: "SchedWarmStart", Value: c.Scheduler.String(),
-				Reason: "warm-start scheduling requires the paper scheduler"}
 		}
 	}
 	if c.Parallelism < 0 {
@@ -721,11 +539,9 @@ func (c Config) network() (netmodel.Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := tdm.Config{N: c.N, K: c.K, NewPredictor: pf, AmplifyBytes: c.AmplifyBytes, Faults: c.Faults, SchedCache: c.SchedCache, Probe: c.Probe}
+		cfg := tdm.Config{N: c.N, K: c.K, NewPredictor: pf, AmplifyBytes: c.AmplifyBytes, Faults: c.Faults, Probe: c.Probe}
 		cfg.Fabric = fabricKinds[c.Fabric]
 		cfg.Algorithm = schedulerAlgs[c.Scheduler]
-		cfg.Shards = c.SchedShards
-		cfg.WarmStart = c.SchedWarmStart
 		switch c.Switching {
 		case PreloadTDM:
 			cfg.Mode = tdm.Preload
@@ -800,9 +616,7 @@ type Report struct {
 	Faults *FaultReport
 }
 
-// SchedReport groups the scheduler-activity counters of the TDM modes,
-// formerly flat Report fields (SchedulerPasses, Established, Released,
-// Evictions, Preloads, SchedCacheHits, SchedCacheMisses).
+// SchedReport groups the scheduler-activity counters of the TDM modes.
 type SchedReport struct {
 	// Passes counts scheduling passes (one per slot-window arbitration).
 	Passes uint64
@@ -812,21 +626,16 @@ type SchedReport struct {
 	Evictions   uint64
 	// Preloads counts preloaded configuration groups (PreloadTDM/HybridTDM).
 	Preloads uint64
-	// CacheHits / CacheMisses count memoized scheduling passes
-	// (Config.SchedCache): hits replayed a recorded grant set instead of
-	// re-running the scheduling array. Performance counters only — all
-	// other Report fields are bit-identical with the cache on or off.
+	// CacheHits, CacheMisses, WarmHits, WarmMisses and DirtyRows are always
+	// zero. They counted the retired memoized-pass cache and warm-started
+	// scheduling passes; the simulator now runs one cold scheduling pass per
+	// slot window, and the fields stay only so that existing readers of the
+	// Report keep compiling.
 	CacheHits   uint64
 	CacheMisses uint64
-	// WarmHits / WarmMisses count warm-started scheduling passes
-	// (Config.SchedWarmStart): hits repaired the previous pass's masks
-	// incrementally from the request journal, misses rebuilt them. DirtyRows
-	// totals the rows re-evaluated across incremental passes. Performance
-	// counters only — the only Report fields allowed to differ between
-	// warm-on and warm-off runs.
-	WarmHits   uint64
-	WarmMisses uint64
-	DirtyRows  uint64
+	WarmHits    uint64
+	WarmMisses  uint64
+	DirtyRows   uint64
 }
 
 // PlanReport describes the preload planner's offline schedule: which planner
@@ -902,11 +711,6 @@ func toReport(r metrics.Result) Report {
 			Released:    r.Stats.Released,
 			Evictions:   r.Stats.Evictions,
 			Preloads:    r.Stats.Preloads,
-			CacheHits:   r.Stats.SchedCacheHits,
-			CacheMisses: r.Stats.SchedCacheMisses,
-			WarmHits:    r.Stats.SchedWarmHits,
-			WarmMisses:  r.Stats.SchedWarmMisses,
-			DirtyRows:   r.Stats.SchedDirtyRows,
 		},
 		Plan: PlanReport{
 			Planner:       r.Stats.Planner,

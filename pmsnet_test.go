@@ -8,24 +8,6 @@ import (
 	"time"
 )
 
-func TestSwitchingStrings(t *testing.T) {
-	names := map[Switching]string{
-		Wormhole:         "wormhole",
-		CircuitSwitching: "circuit",
-		DynamicTDM:       "tdm-dynamic",
-		PreloadTDM:       "tdm-preload",
-		HybridTDM:        "tdm-hybrid",
-	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want)
-		}
-	}
-	if Switching(99).String() == "" {
-		t.Error("unknown switching should render")
-	}
-}
-
 func TestRunAllParadigms(t *testing.T) {
 	wl := OrderedMesh(16, 64, 5)
 	if wl.Processors() != 16 || wl.Messages() == 0 || wl.TotalBytes() == 0 {
@@ -78,99 +60,11 @@ func TestEvictionPolicies(t *testing.T) {
 	}
 }
 
-func TestFabricStringsAndParse(t *testing.T) {
-	names := map[Fabric]string{
-		FabricCrossbar: "crossbar",
-		FabricOmega:    "omega",
-		FabricClos:     "clos",
-		FabricBenes:    "benes",
-	}
-	for f, want := range names {
-		if f.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(f), f.String(), want)
-		}
-		got, err := ParseFabric(want)
-		if err != nil || got != f {
-			t.Errorf("ParseFabric(%q) = %v, %v; want %v", want, got, err, f)
-		}
-	}
-	if Fabric(99).String() == "" {
-		t.Error("unknown fabric should render")
-	}
-	if _, err := ParseFabric("banyan"); err == nil ||
-		!strings.Contains(err.Error(), "crossbar, omega, clos, benes") {
-		t.Errorf("ParseFabric should list the vocabulary, got %v", err)
-	}
-	if got := strings.Join(FabricNames(), ","); got != "crossbar,omega,clos,benes" {
-		t.Errorf("FabricNames() = %q", got)
-	}
-}
-
-func TestSchedulerStringsAndParse(t *testing.T) {
-	names := map[Scheduler]string{
-		SchedulerPaper:     "paper",
-		SchedulerISLIP:     "islip",
-		SchedulerWavefront: "wavefront",
-	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want)
-		}
-		got, err := ParseScheduler(want)
-		if err != nil || got != s {
-			t.Errorf("ParseScheduler(%q) = %v, %v; want %v", want, got, err, s)
-		}
-	}
-	if Scheduler(99).String() == "" {
-		t.Error("unknown scheduler should render")
-	}
-	if _, err := ParseScheduler("pim"); err == nil ||
-		!strings.Contains(err.Error(), "paper, islip, wavefront") {
-		t.Errorf("ParseScheduler should list the vocabulary, got %v", err)
-	}
-	if got := strings.Join(SchedulerNames(), ","); got != "paper,islip,wavefront" {
-		t.Errorf("SchedulerNames() = %q", got)
-	}
-}
-
 func TestSchedulerConfigValidation(t *testing.T) {
 	wl := ScatterWorkload(8, 64)
 	var cerr *ConfigError
 	if _, err := Run(Config{Switching: DynamicTDM, N: 8, Scheduler: Scheduler(9)}, wl); !errors.As(err, &cerr) {
 		t.Errorf("unknown scheduler: got %v, want a *ConfigError", err)
-	}
-	if _, err := Run(Config{Switching: DynamicTDM, N: 8, SchedShards: -1}, wl); !errors.As(err, &cerr) {
-		t.Errorf("negative SchedShards: got %v, want a *ConfigError", err)
-	}
-	// Sharding and warm starting are paper-scheduler features; asking for
-	// them under other schedulers or shard-less fabrics is rejected rather
-	// than silently ignored.
-	if _, err := Run(Config{Switching: DynamicTDM, N: 8,
-		Scheduler: SchedulerISLIP, SchedShards: 4, Fabric: FabricClos}, wl); !errors.As(err, &cerr) {
-		t.Errorf("shards + islip: got %v, want a *ConfigError", err)
-	} else if cerr.Field != "SchedShards" {
-		t.Errorf("shards + islip: field %q, want SchedShards", cerr.Field)
-	}
-	if _, err := Run(Config{Switching: DynamicTDM, N: 8, SchedShards: 4}, wl); !errors.As(err, &cerr) {
-		t.Errorf("shards + crossbar: got %v, want a *ConfigError", err)
-	} else if cerr.Field != "SchedShards" {
-		t.Errorf("shards + crossbar: field %q, want SchedShards", cerr.Field)
-	}
-	if _, err := Run(Config{Switching: DynamicTDM, N: 8,
-		Scheduler: SchedulerWavefront, SchedWarmStart: true}, wl); !errors.As(err, &cerr) {
-		t.Errorf("warm + wavefront: got %v, want a *ConfigError", err)
-	} else if cerr.Field != "SchedWarmStart" {
-		t.Errorf("warm + wavefront: field %q, want SchedWarmStart", cerr.Field)
-	}
-	// The supported combinations still validate.
-	if err := (Config{Switching: DynamicTDM, N: 8, SchedShards: 4, Fabric: FabricClos}).Validate(); err != nil {
-		t.Errorf("shards + clos: %v", err)
-	}
-	if err := (Config{Switching: DynamicTDM, N: 8, SchedWarmStart: true}).Validate(); err != nil {
-		t.Errorf("warm + paper + crossbar: %v", err)
-	}
-	if err := (Config{Switching: DynamicTDM, N: 8, SchedShards: 1}).Validate(); err != nil {
-		t.Errorf("SchedShards=1 (serial) must stay valid on any fabric: %v", err)
 	}
 }
 
